@@ -1,6 +1,6 @@
 //! Criterion bench: neighbor-search backends (brute force, k-d tree,
-//! two-layer octree, voxel grid) — the ablation behind VoLUT's octree
-//! choice — plus the per-query vs `knn_batch` comparison behind the
+//! two-layer octree) — the ablation of the engine's k-d tree against the
+//! paper's octree — plus the per-query vs `knn_batch` comparison behind the
 //! batch-first SR hot path, at 10k and 100k points for every backend.
 
 use criterion::{criterion_group, criterion_main, is_quick_mode, BenchmarkId, Criterion};
@@ -10,7 +10,6 @@ use volut_pointcloud::kdtree::KdTree;
 use volut_pointcloud::knn::{BruteForce, NeighborSearch};
 use volut_pointcloud::octree::TwoLayerOctree;
 use volut_pointcloud::synthetic;
-use volut_pointcloud::voxelgrid::VoxelGrid;
 use volut_pointcloud::Neighborhoods;
 
 fn bench_knn_query(c: &mut Criterion) {
@@ -19,7 +18,6 @@ fn bench_knn_query(c: &mut Criterion) {
     let brute = BruteForce::new(cloud.positions());
     let kdtree = KdTree::build(cloud.positions());
     let octree = TwoLayerOctree::build(cloud.positions());
-    let grid = VoxelGrid::build_auto(cloud.positions(), 8);
 
     let mut group = c.benchmark_group("knn_k8");
     group.sample_size(10);
@@ -38,9 +36,6 @@ fn bench_knn_query(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("backend", "two_layer_octree"), |b| {
         b.iter(|| black_box(run(&octree)))
-    });
-    group.bench_function(BenchmarkId::new("backend", "voxel_grid"), |b| {
-        b.iter(|| black_box(run(&grid)))
     });
     group.finish();
 }
@@ -62,7 +57,6 @@ fn bench_per_query_vs_batch(c: &mut Criterion) {
         let queries = cloud.positions();
         let kdtree = KdTree::build(queries);
         let octree = TwoLayerOctree::build(queries);
-        let grid = VoxelGrid::build_auto(queries, 8);
 
         for k in [5usize, 9] {
             let mut group = c.benchmark_group(format!("knn_batch_{n}_k{k}"));
@@ -86,7 +80,6 @@ fn bench_per_query_vs_batch(c: &mut Criterion) {
             for (name, backend) in [
                 ("kdtree", &kdtree as &dyn NeighborSearch),
                 ("two_layer_octree", &octree),
-                ("voxel_grid", &grid),
             ] {
                 group.bench_function(BenchmarkId::new("per_query", name), |b| {
                     b.iter(|| black_box(per_query(backend, &mut out)))
@@ -171,9 +164,6 @@ fn bench_index_build(c: &mut Criterion) {
     });
     group.bench_function("two_layer_octree", |b| {
         b.iter(|| TwoLayerOctree::build(black_box(cloud.positions())))
-    });
-    group.bench_function("voxel_grid", |b| {
-        b.iter(|| VoxelGrid::build_auto(black_box(cloud.positions()), 8))
     });
     group.finish();
 }

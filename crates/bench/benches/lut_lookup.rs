@@ -94,9 +94,8 @@ fn bench_lookup(c: &mut Criterion) {
     group.finish();
 }
 
-/// Dense LUT probe shapes over a table far larger than L2: one `get` per
-/// key vs the prefetched `get_batch` block probe (mirrors the
-/// sparse-vs-batched comparison PR 1 added for refinement).
+/// Dense LUT probe over a table far larger than L2: one `get` per key at
+/// random addresses (the refinement stage's probe).
 fn bench_dense_probe(c: &mut Criterion) {
     let quick = is_quick_mode();
     // 2^22 entries * 6 bytes = 24 MiB of offset storage.
@@ -123,12 +122,6 @@ fn bench_dense_probe(c: &mut Criterion) {
                 hits += usize::from(slot.is_some());
             }
             black_box(hits)
-        })
-    });
-    group.bench_function("batched_prefetch", |b| {
-        b.iter(|| {
-            dense.get_batch(&keys, &mut out);
-            black_box(out.iter().filter(|o| o.is_some()).count())
         })
     });
     group.finish();

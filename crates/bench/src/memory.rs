@@ -7,7 +7,7 @@ use std::sync::Arc;
 use crate::report::Report;
 use crate::setup::TrainedArtifacts;
 use volut_core::device::DeviceProfile;
-use volut_core::encoding::KeyScheme;
+use volut_core::encoding::{KeyScheme, PositionEncoder};
 use volut_core::lut::dense::DenseLut;
 use volut_core::lut::memory::MemoryModel;
 use volut_core::lut::Lut as _;
@@ -19,16 +19,19 @@ use volut_stream::server::{ServerConfig, ServerMemoryStats, SessionSpec, SrServe
 pub const SERVING_CONTENT: &str = "serving-demo";
 
 /// One deployment-scale content item: a Compact-scheme dense LUT (the
-/// paper's runtime-table configuration) sized by `bins^receptive_field`,
-/// one-third populated so probes exercise both hit and miss paths. At the
-/// default `bins = 24` the table is ~2 MiB — the quantity a per-session
-/// clone multiplies by the session count.
+/// paper's runtime-table configuration) sized by the encoder's key space,
+/// one-third populated so probes exercise both hit and miss paths. Compact
+/// keys pack `ceil(log2 bins)` bits per receptive-field slot, so at the
+/// default `bins = 24` the table spans 32^4 entries (~6 MiB) — the quantity
+/// a per-session clone multiplies by the session count.
 pub fn serving_registry(bins: usize) -> Arc<ModelRegistry> {
     let config = SrConfig {
         bins,
         ..SrConfig::default()
     };
-    let key_space = (bins as u128).pow(config.receptive_field as u32);
+    let key_space = PositionEncoder::new(&config, KeyScheme::Compact)
+        .expect("valid serving config")
+        .key_space();
     let mut lut = DenseLut::new(key_space).expect("serving table within budget");
     for key in (0..key_space).step_by(3) {
         lut.set(key, [0.01, -0.004, 0.002]).expect("in-range key");
@@ -234,6 +237,24 @@ mod tests {
             rel < 0.05,
             "derived {derived} vs measured {}",
             cloned.bytes_per_session
+        );
+    }
+
+    /// Every Compact key a served frame produces must fall inside the
+    /// table, or refinement only ever misses and the offset path never
+    /// runs under the server benches.
+    #[test]
+    fn served_frames_hit_the_serving_table() {
+        let registry = serving_registry(24);
+        let model = registry.get(SERVING_CONTENT).expect("published content");
+        let mut session = volut_stream::client::SrSession::from_model(&model).expect("session");
+        let frame = volut_pointcloud::synthetic::sphere(512, 1.0, 3);
+        let result = session.upsample_frame(&frame, 2.0).expect("upsample");
+        let stats = result.lookup_stats.expect("LUT refiner");
+        assert!(
+            stats.hits > 0,
+            "0 of {} probes hit the serving table",
+            stats.misses
         );
     }
 

@@ -18,7 +18,7 @@ use std::time::Duration;
 /// bound by memory latency).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum StageKind {
-    /// Neighbor search (octree / k-d tree traversal).
+    /// Neighbor search (k-d tree traversal).
     Knn,
     /// Midpoint generation and bookkeeping.
     Interpolation,

@@ -3,8 +3,8 @@
 //! New points inherit the color of the nearest *original* point, reusing the
 //! spatial relationships already computed during geometric interpolation so
 //! that no additional neighbor searches are required. The per-point color
-//! assignment is embarrassingly parallel and runs across worker threads
-//! when the `parallel` feature is enabled.
+//! assignment is embarrassingly parallel and runs across the pool's worker
+//! threads.
 
 use volut_pointcloud::{par, Color, NeighborhoodsView, PointCloud};
 

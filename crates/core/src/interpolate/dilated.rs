@@ -5,11 +5,10 @@
 //!   (Eq. 1) and samples interpolation partners from the *dilated* set,
 //!   which breaks the density-reinforcement artifact of vanilla kNN;
 //! * issues exactly one kNN query per *original* point instead of one per
-//!   generated point (the octree of [`volut_pointcloud::octree`] is the
-//!   paper's spatial structure; on CPU the k-d tree answers the same
-//!   queries faster, so it backs the per-point search here while the
-//!   octree's self-contained-leaf fast path remains available — the
-//!   `knn_backends` bench compares all backends). The tree is
+//!   generated point (the two-layer octree of [`volut_pointcloud::octree`]
+//!   is the paper's spatial structure; on CPU the k-d tree answers the
+//!   same queries faster, so it backs the search here and the octree is
+//!   the ablation the `knn_backends` bench compares against). The tree is
 //!   scratch-resident (see [`super::IndexCache`]): frames whose geometry is
 //!   unchanged skip the rebuild entirely, and the queries go through the
 //!   allocation-free `super::batched_knn_into` path — a *self-join* of

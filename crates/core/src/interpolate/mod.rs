@@ -5,8 +5,8 @@
 //!   midpoint interpolation the paper uses as its baseline (`K4d1`, no
 //!   dilation, no reuse, fresh neighbor query per generated point);
 //! * [`DilatedInterpolator`] / [`dilated::dilated_interpolate`] — VoLUT's
-//!   enhanced interpolation with dilation (Eq. 1), a two-layer octree for
-//!   spatial pruning, neighbor relationship reuse (Eq. 2) and
+//!   enhanced interpolation with dilation (Eq. 1), a scratch-resident k-d
+//!   tree for the neighbor search, neighbor relationship reuse (Eq. 2) and
 //!   multi-threaded execution.
 //!
 //! Both return an [`InterpolationResult`] that carries the upsampled cloud,

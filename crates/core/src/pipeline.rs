@@ -29,7 +29,7 @@ static NEXT_PIPELINE_ID: AtomicU64 = AtomicU64::new(1);
 pub enum InterpolationMode {
     /// Vanilla kNN midpoint interpolation (baseline).
     Naive,
-    /// VoLUT's dilated, octree-accelerated, reuse-enabled interpolation.
+    /// VoLUT's dilated, reuse-enabled interpolation over a k-d tree.
     #[default]
     Dilated,
 }
@@ -41,12 +41,12 @@ pub struct StageTimings {
     /// frames whose geometry matches the scratch-resident cached index.
     pub index_build: Duration,
     /// Neighbor-search query time. This is the frame-dominating kNN
-    /// self-join (§4.1); when the batch runs on one worker (single-core
-    /// hosts, or the `parallel` feature disabled) the batch layer answers
-    /// it with the dual-tree leaf-pair kernel
-    /// ([`volut_pointcloud::dualtree`]) through the scratch-resident
-    /// [`crate::interpolate::FrameScratch`]; multi-worker batches are
-    /// chunked across the single-tree sweep instead (see
+    /// self-join (§4.1), answered by the k-d tree: large self-joins run
+    /// whole through the dual-tree leaf-pair kernel
+    /// ([`volut_pointcloud::dualtree`]), which shards across pool workers
+    /// itself, using the scratch-resident
+    /// [`crate::interpolate::FrameScratch`]; smaller or bichromatic batches
+    /// run the single-tree sweep, chunked across workers (see
     /// `interpolate::batched_knn_into`). The `sr_stage_breakdown` bench
     /// tracks this stage's share release-over-release.
     pub knn: Duration,

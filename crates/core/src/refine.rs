@@ -19,7 +19,7 @@
 //!
 //! [`refine_in_place`] is the shared driver used by [`crate::SrPipeline`]
 //! and both baselines: it splits the generated tail of a cloud into chunks,
-//! fans the chunks out across threads (with the `parallel` feature), and
+//! fans the chunks out across the pool's workers, and
 //! runs `refine_batch` on zero-copy row windows.
 
 use crate::encoding::{KeyScheme, PositionEncoder};
@@ -94,7 +94,7 @@ pub trait Refiner: Send + Sync {
 /// batch kernel can read stable centers while writing results; reusing the
 /// same buffer across frames (see `FrameScratch` in the pipeline) means
 /// steady-state refinement performs no per-frame allocation either. Chunks
-/// of the tail are processed in parallel when the `parallel` feature is on.
+/// of the tail are processed in parallel when the pool has several workers.
 ///
 /// # Panics
 /// Panics when `neighborhoods.len()` differs from the generated tail length.

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 
 /// An axis-aligned bounding box in 3D.
 ///
-/// Used by the spatial indices (octree, voxel grid) and by the position
+/// Used by the spatial indices (k-d tree, octree) and by the position
 /// encoding stage of the LUT pipeline to normalize neighborhoods.
 ///
 /// # Example

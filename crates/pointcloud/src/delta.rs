@@ -190,6 +190,26 @@ impl FrameDelta {
         }
     }
 
+    /// `true` when [`Self::from_parts`] accepts this description. Costs
+    /// `O(removed + inserted)` and allocates nothing, so a decoder can
+    /// validate a delta off the wire before anything is sized by its
+    /// lengths.
+    pub fn parts_are_consistent(
+        old_len: usize,
+        new_len: usize,
+        removed: &[u32],
+        inserted: &[u32],
+    ) -> bool {
+        let ascending_in_bounds = |ids: &[u32], len: usize| {
+            ids.iter().all(|&i| (i as usize) < len) && ids.windows(2).all(|w| w[0] < w[1])
+        };
+        removed.len() <= old_len
+            && inserted.len() <= new_len
+            && old_len - removed.len() + inserted.len() == new_len
+            && ascending_in_bounds(removed, old_len)
+            && ascending_in_bounds(inserted, new_len)
+    }
+
     /// Builds a delta from an explicit removal/insertion description — the
     /// streaming-layer API for callers that already know what changed.
     ///
@@ -205,16 +225,7 @@ impl FrameDelta {
         removed: Vec<u32>,
         inserted: Vec<u32>,
     ) -> Option<FrameDelta> {
-        if removed.len() > old_len || inserted.len() > new_len {
-            return None;
-        }
-        if old_len - removed.len() + inserted.len() != new_len {
-            return None;
-        }
-        let ascending_in_bounds = |ids: &[u32], len: usize| {
-            ids.iter().all(|&i| (i as usize) < len) && ids.windows(2).all(|w| w[0] < w[1])
-        };
-        if !ascending_in_bounds(&removed, old_len) || !ascending_in_bounds(&inserted, new_len) {
+        if !Self::parts_are_consistent(old_len, new_len, &removed, &inserted) {
             return None;
         }
         // Walk old and new indices together, skipping removed old slots and

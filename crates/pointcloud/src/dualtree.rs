@@ -49,7 +49,7 @@
 //!
 //! # Parallel traversal (query-leaf sharding)
 //!
-//! Under the `parallel` feature the traversal shards across the
+//! With more than one pool worker the traversal shards across the
 //! work-stealing pool ([`crate::runtime`]) by partitioning the **query
 //! tree**: a frontier of roughly `2 × workers` subtree roots covering the
 //! leaf-slot space end to end (greedily splitting the widest shard) is
@@ -133,7 +133,6 @@ pub fn dual_min_queries_mono() -> usize {
 /// Fewest queries a parallel shard is worth: below this per shard, the
 /// leaf-pair traversal is too short to repay task scheduling and the
 /// per-shard warm-up of pruning bounds, so the batch stays sequential.
-#[cfg_attr(not(feature = "parallel"), allow(dead_code))]
 const DUAL_MIN_QUERIES_PER_SHARD: usize = 2048;
 
 /// Reusable state of the dual-tree all-kNN: the query-side tree (built only
@@ -345,7 +344,6 @@ pub(crate) fn all_knn(
 /// covers the contiguous leaf-slot range `lo..hi`. The shard set partitions
 /// the whole leaf-slot space, so shards own disjoint row sub-slabs and can
 /// traverse concurrently.
-#[cfg_attr(not(feature = "parallel"), allow(dead_code))]
 #[derive(Clone, Copy)]
 struct Shard {
     root: u32,
@@ -356,7 +354,6 @@ struct Shard {
 /// Leaf-slot span of `n`'s subtree. Children are allocated over contiguous
 /// slot sub-ranges at build time, so the span is (leftmost leaf's start,
 /// rightmost leaf's end) — two root-to-leaf walks, no subtree scan.
-#[cfg_attr(not(feature = "parallel"), allow(dead_code))]
 fn subtree_span(tree: &KdTree, n: u32) -> (usize, usize) {
     let mut lo_n = n;
     let lo = loop {
@@ -391,68 +388,45 @@ fn plan_shards(qtree: &KdTree, queries: usize) -> Vec<Shard> {
             hi,
         }]
     };
-    #[cfg(not(feature = "parallel"))]
-    {
+    let workers = crate::par::worker_count(queries, DUAL_MIN_QUERIES_PER_SHARD);
+    if workers <= 1 {
         return whole();
     }
-    #[cfg(feature = "parallel")]
-    {
-        let workers = crate::par::worker_count(queries, DUAL_MIN_QUERIES_PER_SHARD);
-        if workers <= 1 {
-            return whole();
-        }
-        let target = workers * 2;
-        let mut frontier: Vec<Shard> = whole();
-        while frontier.len() < target {
-            // Split the widest shard; stop when only leaves remain.
-            let Some(widest) = frontier
-                .iter()
-                .position(|s| !qtree.node(s.root).is_leaf())
-                .map(|first| {
-                    frontier
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, s)| !qtree.node(s.root).is_leaf())
-                        .max_by_key(|(_, s)| s.hi - s.lo)
-                        .map_or(first, |(i, _)| i)
-                })
-            else {
-                break;
-            };
-            let shard = frontier.swap_remove(widest);
-            let (a, b) = qtree.node(shard.root).children();
-            let (alo, ahi) = subtree_span(qtree, a);
-            let (blo, bhi) = subtree_span(qtree, b);
-            frontier.push(Shard {
-                root: a,
-                lo: alo,
-                hi: ahi,
-            });
-            frontier.push(Shard {
-                root: b,
-                lo: blo,
-                hi: bhi,
-            });
-        }
-        frontier.sort_by_key(|s| s.lo);
-        frontier
+    let target = workers * 2;
+    let mut frontier: Vec<Shard> = whole();
+    while frontier.len() < target {
+        // Split the widest shard; stop when only leaves remain.
+        let Some(widest) = frontier
+            .iter()
+            .position(|s| !qtree.node(s.root).is_leaf())
+            .map(|first| {
+                frontier
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| !qtree.node(s.root).is_leaf())
+                    .max_by_key(|(_, s)| s.hi - s.lo)
+                    .map_or(first, |(i, _)| i)
+            })
+        else {
+            break;
+        };
+        let shard = frontier.swap_remove(widest);
+        let (a, b) = qtree.node(shard.root).children();
+        let (alo, ahi) = subtree_span(qtree, a);
+        let (blo, bhi) = subtree_span(qtree, b);
+        frontier.push(Shard {
+            root: a,
+            lo: alo,
+            hi: ahi,
+        });
+        frontier.push(Shard {
+            root: b,
+            lo: blo,
+            hi: bhi,
+        });
     }
-}
-
-/// Sequential-build stub: [`plan_shards`] never returns more than one shard
-/// without the `parallel` feature, so the sharded branch is unreachable.
-#[cfg(not(feature = "parallel"))]
-#[allow(clippy::too_many_arguments)]
-fn run_sharded(
-    _rtree: &KdTree,
-    _qtree: &KdTree,
-    _mono: bool,
-    _stride: usize,
-    _shards: &[Shard],
-    _all_rows: &mut [u64],
-    _bounds_pool: &mut Vec<Vec<f32>>,
-) {
-    unreachable!("plan_shards stays sequential without the parallel feature");
+    frontier.sort_by_key(|s| s.lo);
+    frontier
 }
 
 /// Runs the traversal sharded across the pool. Each shard task owns the
@@ -469,7 +443,6 @@ fn run_sharded(
 /// other shards' reference subtrees nearest-first. Bichromatic shards
 /// descend the whole reference tree exactly like the sequential `(split,
 /// split)` arm.
-#[cfg(feature = "parallel")]
 #[allow(clippy::too_many_arguments)]
 fn run_sharded(
     rtree: &KdTree,
@@ -907,7 +880,6 @@ mod tests {
     /// shapes, and duplicate-heavy ties — and its per-shard bounds pool
     /// must reach a steady state (no growth on repeated same-shape
     /// batches).
-    #[cfg(feature = "parallel")]
     #[test]
     fn sharded_traversal_matches_sequential() {
         let mut pts = random_points(6_000, 20);
@@ -978,7 +950,6 @@ mod tests {
     }
 
     /// Shard planning partitions the leaf-slot space exactly.
-    #[cfg(feature = "parallel")]
     #[test]
     fn shard_frontier_partitions_leaf_slots() {
         let pts = random_points(10_000, 22);

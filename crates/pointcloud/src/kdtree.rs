@@ -2,9 +2,9 @@
 //!
 //! This stands in for the cuKDTree GPU k-d tree used by the paper's CUDA
 //! client: an exact, cache-friendly, array-backed k-d tree with median
-//! splits. It is the default backend for the Yuzu/GradPU baselines, while
-//! the VoLUT pipeline itself prefers the two-layer octree of
-//! [`crate::octree`].
+//! splits. It backs the neighbor search of the VoLUT pipeline and of the
+//! Yuzu/GradPU baselines; the paper's two-layer octree
+//! ([`crate::octree`]) is kept as the ablation baseline.
 
 use crate::aabb::Aabb;
 use crate::delta::{FrameDelta, REMOVED};

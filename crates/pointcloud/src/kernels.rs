@@ -13,12 +13,12 @@
 //! * [`pair_midpoints_into`] — gathered pair-midpoint generation over
 //!   [`SoaPositions`], exported for the interpolators' recomputed-row batch.
 //!
-//! With the default-on `simd` feature and a runtime AVX2 check, the scan
-//! runs 8 lanes per iteration with an explicit compare-mask pre-filter; the
-//! scalar fallback performs the same arithmetic in the same order
-//! (`dx·dx + dy·dy + dz·dz`, no FMA contraction), so the two paths are
-//! **bit-identical** — including index-broken distance ties — and the
-//! feature flag can never change results.
+//! On x86-64 a runtime CPU check picks an AVX-512 or AVX2 scan (16 or 8
+//! lanes per iteration with an explicit compare-mask pre-filter); the
+//! scalar path, the only one on other targets, performs the same arithmetic
+//! in the same order (`dx·dx + dy·dy + dz·dz`, no FMA contraction), so every
+//! path is **bit-identical** — including index-broken distance ties — and
+//! the host CPU can never change results.
 
 use crate::knn::Neighbor;
 use crate::point::Point3;
@@ -81,14 +81,14 @@ pub(crate) fn prefetch_read<T>(p: *const T) {
 }
 
 /// Returns `true` when the AVX2 kernel paths may be used.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[inline]
 fn avx2_enabled() -> bool {
     std::arch::is_x86_feature_detected!("avx2")
 }
 
 /// Returns `true` when the AVX-512 kernel paths may be used.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[inline]
 fn avx512_enabled() -> bool {
     std::arch::is_x86_feature_detected!("avx512f")
@@ -97,7 +97,7 @@ fn avx512_enabled() -> bool {
 /// Scans slots `start..end` of `soa`, offering every candidate whose squared
 /// distance can still matter to `best`; `ids[slot]` maps a slot back to the
 /// original point index. This is the shared leaf/cell scan of the kd-tree,
-/// octree, voxel grid and brute-force backends.
+/// octree and brute-force backends.
 ///
 /// Candidates are pre-filtered with `d2 <= best.worst_d2()` (equality passes
 /// through so index-broken ties behave exactly like [`BestK::push`] alone);
@@ -116,7 +116,7 @@ pub(crate) fn scan_ids<S: ScanSink>(
     if start >= end {
         return;
     }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         if avx512_enabled() {
             // SAFETY: AVX-512F availability checked at runtime just above.
@@ -159,7 +159,7 @@ fn scan_ids_scalar<S: ScanSink>(
 /// against the current k-th best so blocks with no viable candidate cost a
 /// single mask test. Lanes surviving the mask are re-checked (the bound only
 /// tightens) and pushed in lane order — bit-identical to the scalar path.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn scan_ids_avx2<S: ScanSink>(
     soa: &SoaPositions,
@@ -211,7 +211,7 @@ unsafe fn scan_ids_avx2<S: ScanSink>(
 /// arithmetic and same ascending-lane push order as the scalar path — the
 /// SoA store guarantees `2 × LANES` of padding, so the 16-wide loads are
 /// always in bounds.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn scan_ids_avx512<S: ScanSink>(
     soa: &SoaPositions,
@@ -300,18 +300,22 @@ pub fn norm_squared_lanes(xs: &[f32], ys: &[f32], zs: &[f32], out: &mut [f32]) {
         xs.len() == ys.len() && xs.len() == zs.len() && xs.len() == out.len(),
         "norm_squared_lanes: mismatched lane lengths"
     );
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if avx2_enabled() {
         // SAFETY: AVX2 availability checked at runtime just above.
         unsafe { norm_squared_lanes_avx2(xs, ys, zs, out) };
         return;
     }
+    norm_squared_lanes_scalar(xs, ys, zs, out);
+}
+
+fn norm_squared_lanes_scalar(xs: &[f32], ys: &[f32], zs: &[f32], out: &mut [f32]) {
     for i in 0..xs.len() {
         out[i] = xs[i] * xs[i] + ys[i] * ys[i] + zs[i] * zs[i];
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn norm_squared_lanes_avx2(xs: &[f32], ys: &[f32], zs: &[f32], out: &mut [f32]) {
     use std::arch::x86_64::*;
@@ -342,8 +346,7 @@ unsafe fn norm_squared_lanes_avx2(xs: &[f32], ys: &[f32], zs: &[f32], out: &mut 
 /// gathers over the SoA coordinate lanes. The scalar fallback performs
 /// exactly [`Point3::midpoint`]'s arithmetic — `0.5 * (a + b)` per component;
 /// IEEE-754 multiplication is commutative, so the vector form `(a + b) * 0.5`
-/// is bit-identical — making the `simd` feature invisible to interpolation
-/// results.
+/// is bit-identical — so the host CPU is invisible to interpolation results.
 ///
 /// # Panics
 /// Panics when `a`, `b` and `out` differ in length, or when any index is out
@@ -358,13 +361,17 @@ pub fn pair_midpoints_into(soa: &SoaPositions, a: &[u32], b: &[u32], out: &mut [
         a.iter().chain(b.iter()).all(|&i| i < n),
         "pair_midpoints_into: pair index out of range"
     );
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if avx2_enabled() {
         // SAFETY: AVX2 availability checked at runtime just above, and every
         // gather index was bounds-checked against the SoA length.
         unsafe { pair_midpoints_avx2(soa, a, b, out) };
         return;
     }
+    pair_midpoints_scalar(soa, a, b, out);
+}
+
+fn pair_midpoints_scalar(soa: &SoaPositions, a: &[u32], b: &[u32], out: &mut [Point3]) {
     for (i, slot) in out.iter_mut().enumerate() {
         *slot = soa.get(a[i] as usize).midpoint(soa.get(b[i] as usize));
     }
@@ -372,7 +379,7 @@ pub fn pair_midpoints_into(soa: &SoaPositions, a: &[u32], b: &[u32], out: &mut [
 
 /// AVX2 pair-midpoint kernel: 8 pairs per iteration via 32-bit index gathers
 /// from the coordinate lanes, then one add + mul per lane.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn pair_midpoints_avx2(soa: &SoaPositions, a: &[u32], b: &[u32], out: &mut [Point3]) {
     use std::arch::x86_64::*;
@@ -443,38 +450,95 @@ mod tests {
             .collect()
     }
 
-    /// Whatever paths are compiled in (AVX2 + scalar, or scalar alone), the
-    /// scan must agree bit-for-bit with a plain `distance_squared` loop
-    /// through the same `BestK` — the contract that makes the `simd` feature
-    /// invisible to every backend built on this kernel.
+    type ScanFn = fn(&SoaPositions, &[u32], usize, usize, Point3, &mut BestK);
+    type NormFn = fn(&[f32], &[f32], &[f32], &mut [f32]);
+    type MidpointFn = fn(&SoaPositions, &[u32], &[u32], &mut [Point3]);
+
+    /// Every scan path this host can run: the scalar path and each SIMD
+    /// path whose CPU feature is detected, so a test covers the paths the
+    /// dispatcher would not pick here.
+    fn scan_paths() -> Vec<(&'static str, ScanFn)> {
+        let mut paths: Vec<(&'static str, ScanFn)> = vec![("scalar", scan_ids_scalar)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if avx2_enabled() {
+                // SAFETY: only listed when AVX2 was detected.
+                paths.push(("avx2", |s, i, a, b, q, k| unsafe {
+                    scan_ids_avx2(s, i, a, b, q, k)
+                }));
+            }
+            if avx512_enabled() {
+                // SAFETY: only listed when AVX-512F was detected.
+                paths.push(("avx512", |s, i, a, b, q, k| unsafe {
+                    scan_ids_avx512(s, i, a, b, q, k)
+                }));
+            }
+        }
+        paths
+    }
+
+    /// [`scan_paths`] for [`norm_squared_lanes`].
+    fn norm_paths() -> Vec<(&'static str, NormFn)> {
+        let mut paths: Vec<(&'static str, NormFn)> = vec![("scalar", norm_squared_lanes_scalar)];
+        #[cfg(target_arch = "x86_64")]
+        if avx2_enabled() {
+            // SAFETY: only listed when AVX2 was detected.
+            paths.push(("avx2", |x, y, z, o| unsafe {
+                norm_squared_lanes_avx2(x, y, z, o)
+            }));
+        }
+        paths
+    }
+
+    /// [`scan_paths`] for [`pair_midpoints_into`]. The raw paths skip the
+    /// dispatcher's length and index checks, so inputs must be valid.
+    fn midpoint_paths() -> Vec<(&'static str, MidpointFn)> {
+        let mut paths: Vec<(&'static str, MidpointFn)> = vec![("scalar", pair_midpoints_scalar)];
+        #[cfg(target_arch = "x86_64")]
+        if avx2_enabled() {
+            // SAFETY: only listed when AVX2 was detected; callers pass
+            // in-range indices.
+            paths.push(("avx2", |s, a, b, o| unsafe {
+                pair_midpoints_avx2(s, a, b, o)
+            }));
+        }
+        paths
+    }
+
+    /// Every scan path the host supports must agree bit-for-bit with a
+    /// plain `distance_squared` loop through the same `BestK` — the
+    /// contract that makes the host CPU invisible to every backend built on
+    /// this kernel.
     #[test]
     fn scan_matches_scalar_reference_bitwise() {
         let pts = random_points(100, 9);
         let mut soa = SoaPositions::default();
         soa.fill(&pts);
         let ids: Vec<u32> = (0..pts.len() as u32).collect();
-        for (qi, &q) in random_points(20, 10).iter().enumerate() {
-            for k in [1usize, 3, 8] {
-                for (start, end) in [(0usize, pts.len()), (5, 9), (7, 63), (97, 100)] {
-                    let mut best = BestK::default();
-                    best.begin(k);
-                    scan_ids(&soa, &ids, start, end, q, &mut best);
-                    let mut reference = BestK::default();
-                    reference.begin(k);
-                    for (i, &p) in pts.iter().enumerate().take(end).skip(start) {
-                        reference.push(i, p.distance_squared(q), p);
+        for (path, scan) in scan_paths() {
+            for (qi, &q) in random_points(20, 10).iter().enumerate() {
+                for k in [1usize, 3, 8] {
+                    for (start, end) in [(0usize, pts.len()), (5, 9), (7, 63), (97, 100)] {
+                        let mut best = BestK::default();
+                        best.begin(k);
+                        scan(&soa, &ids, start, end, q, &mut best);
+                        let mut reference = BestK::default();
+                        reference.begin(k);
+                        for (i, &p) in pts.iter().enumerate().take(end).skip(start) {
+                            reference.push(i, p.distance_squared(q), p);
+                        }
+                        let got: Vec<(usize, f32)> = best
+                            .sorted()
+                            .iter()
+                            .map(|n| (n.index, n.distance_squared))
+                            .collect();
+                        let want: Vec<(usize, f32)> = reference
+                            .sorted()
+                            .iter()
+                            .map(|n| (n.index, n.distance_squared))
+                            .collect();
+                        assert_eq!(got, want, "{path}: query {qi} k {k} range {start}..{end}");
                     }
-                    let got: Vec<(usize, f32)> = best
-                        .sorted()
-                        .iter()
-                        .map(|n| (n.index, n.distance_squared))
-                        .collect();
-                    let want: Vec<(usize, f32)> = reference
-                        .sorted()
-                        .iter()
-                        .map(|n| (n.index, n.distance_squared))
-                        .collect();
-                    assert_eq!(got, want, "query {qi} k {k} range {start}..{end}");
                 }
             }
         }
@@ -520,33 +584,35 @@ mod tests {
         );
     }
 
-    /// Whatever paths are compiled in, the pair-midpoint kernel must agree
-    /// bit-for-bit with a scalar `Point3::midpoint` loop — including
-    /// duplicate pairs, self-pairs, and ragged (non-lane-multiple) lengths.
+    /// Every pair-midpoint path the host supports must agree bit-for-bit
+    /// with a scalar `Point3::midpoint` loop — including duplicate pairs,
+    /// self-pairs, and ragged (non-lane-multiple) lengths.
     #[test]
     fn pair_midpoints_match_scalar_reference_bitwise() {
         let pts = random_points(200, 21);
         let mut soa = SoaPositions::default();
         soa.fill(&pts);
-        let mut rng = StdRng::seed_from_u64(22);
-        for n in [0usize, 1, 7, 8, 9, 64, 131] {
-            let a: Vec<u32> = (0..n)
-                .map(|_| rng.random_range(0..pts.len() as u32))
-                .collect();
-            let mut b: Vec<u32> = (0..n)
-                .map(|_| rng.random_range(0..pts.len() as u32))
-                .collect();
-            if n > 2 {
-                b[0] = a[0]; // self-pair
-                b[1] = b[2]; // duplicate partner
-            }
-            let mut got = vec![Point3::ZERO; n];
-            pair_midpoints_into(&soa, &a, &b, &mut got);
-            for i in 0..n {
-                let want = pts[a[i] as usize].midpoint(pts[b[i] as usize]);
-                assert_eq!(got[i].x.to_bits(), want.x.to_bits(), "pair {i} of {n}");
-                assert_eq!(got[i].y.to_bits(), want.y.to_bits(), "pair {i} of {n}");
-                assert_eq!(got[i].z.to_bits(), want.z.to_bits(), "pair {i} of {n}");
+        for (path, midpoints) in midpoint_paths() {
+            let mut rng = StdRng::seed_from_u64(22);
+            for n in [0usize, 1, 7, 8, 9, 64, 131] {
+                let a: Vec<u32> = (0..n)
+                    .map(|_| rng.random_range(0..pts.len() as u32))
+                    .collect();
+                let mut b: Vec<u32> = (0..n)
+                    .map(|_| rng.random_range(0..pts.len() as u32))
+                    .collect();
+                if n > 2 {
+                    b[0] = a[0]; // self-pair
+                    b[1] = b[2]; // duplicate partner
+                }
+                let mut got = vec![Point3::ZERO; n];
+                midpoints(&soa, &a, &b, &mut got);
+                for i in 0..n {
+                    let want = pts[a[i] as usize].midpoint(pts[b[i] as usize]);
+                    for (g, w) in [(got[i].x, want.x), (got[i].y, want.y), (got[i].z, want.z)] {
+                        assert_eq!(g.to_bits(), w.to_bits(), "{path}: pair {i} of {n}");
+                    }
+                }
             }
         }
     }
@@ -566,10 +632,12 @@ mod tests {
         let xs: Vec<f32> = pts.iter().map(|p| p.x).collect();
         let ys: Vec<f32> = pts.iter().map(|p| p.y).collect();
         let zs: Vec<f32> = pts.iter().map(|p| p.z).collect();
-        let mut out = vec![0.0f32; pts.len()];
-        norm_squared_lanes(&xs, &ys, &zs, &mut out);
-        for (i, &p) in pts.iter().enumerate() {
-            assert_eq!(out[i], p.norm_squared(), "lane {i}");
+        for (path, norms) in norm_paths() {
+            let mut out = vec![0.0f32; pts.len()];
+            norms(&xs, &ys, &zs, &mut out);
+            for (i, &p) in pts.iter().enumerate() {
+                assert_eq!(out[i], p.norm_squared(), "{path}: lane {i}");
+            }
         }
     }
 }

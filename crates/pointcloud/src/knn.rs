@@ -1,10 +1,10 @@
 //! Nearest-neighbor search abstractions and the brute-force baseline.
 //!
-//! All spatial indices in this crate ([`crate::kdtree::KdTree`],
-//! [`crate::octree::TwoLayerOctree`], [`crate::voxelgrid::VoxelGrid`])
-//! implement the [`NeighborSearch`] trait so the super-resolution pipeline
-//! can swap backends; the brute-force implementation here is the reference
-//! oracle the property tests compare against.
+//! Both spatial indices in this crate ([`crate::kdtree::KdTree`] and
+//! [`crate::octree::TwoLayerOctree`]) implement the [`NeighborSearch`]
+//! trait so the super-resolution pipeline can swap backends; the
+//! brute-force implementation here is the reference oracle the property
+//! tests compare against.
 //!
 //! The trait is **batch-first**: [`NeighborSearch::knn_batch`] answers a
 //! whole slice of queries into a flat CSR [`Neighborhoods`] container with
@@ -219,16 +219,6 @@ impl BestK {
         } else {
             self.cap
         }
-    }
-
-    /// `true` once `k` entries are held. Termination tests that *stop a
-    /// search* (rather than prune a region) must check this alongside
-    /// [`BestK::worst_d2`]: before the list is full, `worst_d2` is the
-    /// warm-start cap, which bounds the final result but does not promise
-    /// the remaining entries have been seen yet.
-    #[inline]
-    pub(crate) fn is_full(&self) -> bool {
-        self.keys.len() == self.k
     }
 
     /// Offers a candidate at position `pos`.

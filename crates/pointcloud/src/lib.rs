@@ -4,8 +4,8 @@
 //!
 //! This crate provides everything below the super-resolution algorithm:
 //! geometric primitives ([`Point3`], [`Aabb`]), the [`PointCloud`] container,
-//! neighbor-search backends (brute force, k-d tree, two-layer octree, voxel
-//! grid), sampling operators (random, voxel, farthest-point), quality metrics
+//! neighbor-search backends (brute force, k-d tree, two-layer octree),
+//! sampling operators (random, voxel, farthest-point), quality metrics
 //! (Chamfer distance, PSNR), procedural synthetic content generators used in
 //! place of the paper's captured videos, and a small binary/PLY I/O layer.
 //!
@@ -51,7 +51,6 @@ pub mod runtime;
 pub mod sampling;
 pub mod soa;
 pub mod synthetic;
-pub mod voxelgrid;
 
 pub use aabb::Aabb;
 pub use cloud::PointCloud;

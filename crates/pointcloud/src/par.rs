@@ -15,19 +15,16 @@
 //! scope if one is active on this thread, else the global pool sized from
 //! `VOLUT_WORKERS` / [`std::thread::available_parallelism`].
 //!
-//! With the `parallel` feature disabled (it is on by default) every helper
-//! degrades to its sequential equivalent, which keeps the engine
-//! single-threaded for deterministic profiling and for targets where
-//! spawning threads is undesirable.
+//! At one worker (`VOLUT_WORKERS=1`) every helper takes its plain
+//! sequential loop, which keeps the engine single-threaded for
+//! deterministic profiling.
 
 /// Raw-pointer wrapper that lets range tasks write disjoint slots of one
 /// buffer from multiple workers. Safety rests on the callers: every index is
 /// written by exactly one task.
-#[cfg(feature = "parallel")]
 #[derive(Clone, Copy)]
 pub(crate) struct SendPtr<T>(*mut T);
 
-#[cfg(feature = "parallel")]
 impl<T> SendPtr<T> {
     /// Wraps a base pointer whose disjoint-slot discipline the caller
     /// guarantees.
@@ -45,9 +42,7 @@ impl<T> SendPtr<T> {
     }
 }
 
-#[cfg(feature = "parallel")]
 unsafe impl<T: Send> Send for SendPtr<T> {}
-#[cfg(feature = "parallel")]
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// Upper bound on concurrent workers for a workload of `items` elements.
@@ -58,21 +53,13 @@ unsafe impl<T: Send> Sync for SendPtr<T> {}
 /// `VOLUT_WORKERS` and scoped [`crate::runtime::with_workers`] overrides —
 /// never a hard-coded guess).
 pub fn worker_count(items: usize, min_items_per_worker: usize) -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        crate::runtime::current_workers()
-            .min(items / min_items_per_worker.max(1) + 1)
-            .max(1)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let _ = (items, min_items_per_worker);
-        1
-    }
+    crate::runtime::current_workers()
+        .min(items / min_items_per_worker.max(1) + 1)
+        .max(1)
 }
 
 /// Runs `f(chunk_index, start, chunk)` over contiguous mutable chunks of
-/// `data`, in parallel when the `parallel` feature is enabled. `start` is
+/// `data`, in parallel when the pool has more than one worker. `start` is
 /// the element offset of the chunk inside `data`. At most pool-size chunks
 /// execute concurrently, however many chunks the job has.
 pub fn for_each_chunk_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
@@ -81,28 +68,24 @@ where
     F: Fn(usize, usize, &mut [T]) + Sync,
 {
     let chunk_len = chunk_len.max(1);
-    #[cfg(feature = "parallel")]
-    {
-        let chunks = data.len().div_ceil(chunk_len);
-        if chunks > 1 && crate::runtime::current_workers() > 1 {
-            let len = data.len();
-            let base = SendPtr(data.as_mut_ptr());
-            crate::runtime::run_range(chunks, 1, |r| {
-                for c in r.clone() {
-                    let start = c * chunk_len;
-                    let end = (start + chunk_len).min(len);
-                    // SAFETY: chunk index ranges from the runtime are
-                    // disjoint and each chunk spans distinct elements, so no
-                    // two tasks alias; `data` outlives the blocking
-                    // `run_range` call.
-                    let chunk = unsafe {
-                        std::slice::from_raw_parts_mut(base.get().add(start), end - start)
-                    };
-                    f(c, start, chunk);
-                }
-            });
-            return;
-        }
+    let chunks = data.len().div_ceil(chunk_len);
+    if chunks > 1 && crate::runtime::current_workers() > 1 {
+        let len = data.len();
+        let base = SendPtr(data.as_mut_ptr());
+        crate::runtime::run_range(chunks, 1, |r| {
+            for c in r.clone() {
+                let start = c * chunk_len;
+                let end = (start + chunk_len).min(len);
+                // SAFETY: chunk index ranges from the runtime are
+                // disjoint and each chunk spans distinct elements, so no
+                // two tasks alias; `data` outlives the blocking
+                // `run_range` call.
+                let chunk =
+                    unsafe { std::slice::from_raw_parts_mut(base.get().add(start), end - start) };
+                f(c, start, chunk);
+            }
+        });
+        return;
     }
     for (c, chunk) in data.chunks_mut(chunk_len).enumerate() {
         f(c, c * chunk_len, chunk);
@@ -120,24 +103,21 @@ where
     let chunk_len = chunk_len.max(1);
     let chunks = len.div_ceil(chunk_len).max(1);
     let chunk_range = |c: usize| (c * chunk_len).min(len)..((c + 1) * chunk_len).min(len);
-    #[cfg(feature = "parallel")]
-    {
-        if chunks > 1 && crate::runtime::current_workers() > 1 {
-            let mut slots: Vec<Option<R>> = (0..chunks).map(|_| None).collect();
-            let base = SendPtr(slots.as_mut_ptr());
-            crate::runtime::run_range(chunks, 1, |r| {
-                for c in r {
-                    // SAFETY: each slot index is written by exactly one
-                    // task (ranges are disjoint); `slots` outlives the
-                    // blocking `run_range` call.
-                    unsafe { *base.get().add(c) = Some(f(c, chunk_range(c))) };
-                }
-            });
-            return slots
-                .into_iter()
-                .map(|s| s.expect("worker completed"))
-                .collect();
-        }
+    if chunks > 1 && crate::runtime::current_workers() > 1 {
+        let mut slots: Vec<Option<R>> = (0..chunks).map(|_| None).collect();
+        let base = SendPtr(slots.as_mut_ptr());
+        crate::runtime::run_range(chunks, 1, |r| {
+            for c in r {
+                // SAFETY: each slot index is written by exactly one
+                // task (ranges are disjoint); `slots` outlives the
+                // blocking `run_range` call.
+                unsafe { *base.get().add(c) = Some(f(c, chunk_range(c))) };
+            }
+        });
+        return slots
+            .into_iter()
+            .map(|s| s.expect("worker completed"))
+            .collect();
     }
     (0..chunks).map(|c| f(c, chunk_range(c))).collect()
 }
@@ -149,21 +129,16 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    #[cfg(not(feature = "parallel"))]
-    let _ = min_items_per_worker;
-    #[cfg(feature = "parallel")]
-    {
-        if out.len() > min_items_per_worker.max(1) && crate::runtime::current_workers() > 1 {
-            let base = SendPtr(out.as_mut_ptr());
-            crate::runtime::run_range(out.len(), min_items_per_worker.max(1), |r| {
-                for i in r {
-                    // SAFETY: element ranges from the runtime are disjoint
-                    // and `out` outlives the blocking `run_range` call.
-                    unsafe { *base.get().add(i) = f(i) };
-                }
-            });
-            return;
-        }
+    if out.len() > min_items_per_worker.max(1) && crate::runtime::current_workers() > 1 {
+        let base = SendPtr(out.as_mut_ptr());
+        crate::runtime::run_range(out.len(), min_items_per_worker.max(1), |r| {
+            for i in r {
+                // SAFETY: element ranges from the runtime are disjoint
+                // and `out` outlives the blocking `run_range` call.
+                unsafe { *base.get().add(i) = f(i) };
+            }
+        });
+        return;
     }
     for (i, slot) in out.iter_mut().enumerate() {
         *slot = f(i);
@@ -180,7 +155,6 @@ mod tests {
         assert!(worker_count(1_000_000, 1000) >= 1);
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn worker_count_is_capped_by_scoped_pool() {
         crate::runtime::with_workers(2, || {
@@ -227,7 +201,6 @@ mod tests {
     /// spawned one OS thread per chunk, so a 1000-chunk job ran 1000
     /// threads. Routed through the pool, peak concurrency must never exceed
     /// the pool size no matter how many chunks the job is cut into.
-    #[cfg(feature = "parallel")]
     #[test]
     fn thousand_chunk_job_never_exceeds_pool_size() {
         use std::sync::atomic::{AtomicIsize, Ordering::SeqCst};
@@ -256,7 +229,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn map_chunks_concurrency_is_bounded_by_pool() {
         use std::sync::atomic::{AtomicIsize, Ordering::SeqCst};

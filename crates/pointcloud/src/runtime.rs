@@ -419,7 +419,7 @@ impl Drop for Pool {
 impl Pool {
     /// Creates a pool with `workers` total executors (clamped to ≥ 1).
     /// `workers == 1` spawns no threads — every job runs inline on the
-    /// submitter, which is also the `parallel`-feature-off behavior.
+    /// submitter (the `VOLUT_WORKERS=1` behavior).
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {

@@ -1,7 +1,7 @@
 //! Structure-of-arrays position storage for the neighbor-search hot loops.
 //!
 //! Every spatial backend in this crate answers kNN queries by scanning small
-//! contiguous runs of points (a kd-tree leaf, a voxel cell, an octree cell).
+//! contiguous runs of points (a kd-tree leaf, an octree cell).
 //! With `&[Point3]` those scans are strided 12-byte loads that the compiler
 //! cannot turn into full-width vector arithmetic. [`SoaPositions`] stores the
 //! same points as three separate coordinate lanes (`x[]`, `y[]`, `z[]`), each
@@ -10,7 +10,7 @@
 //! shuffle or gather work.
 //!
 //! Backends store their points here in *visit order* (kd-tree leaf order,
-//! voxel/octree cell-slab order) next to a `u32` id array mapping each slot
+//! octree cell-slab order) next to a `u32` id array mapping each slot
 //! back to the original point index, so a scan touches two perfectly
 //! sequential streams.
 

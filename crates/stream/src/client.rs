@@ -293,7 +293,7 @@ pub struct SrComputeModel {
 }
 
 impl SrComputeModel {
-    /// VoLUT's pipeline: octree kNN + dilated interpolation + LUT lookup.
+    /// VoLUT's pipeline: k-d tree kNN + dilated interpolation + LUT lookup.
     /// Defaults calibrated from host micro-benchmarks of `volut-core`.
     pub fn volut_lut() -> Self {
         Self {

@@ -188,7 +188,7 @@ pub enum DecodeError {
     BadChecksum,
     /// The payload decodes but its structure is inconsistent (bad kind
     /// tag, counts that do not add up, a delta that fails
-    /// [`FrameDelta::from_parts`]).
+    /// [`FrameDelta::parts_are_consistent`]).
     Malformed,
 }
 
@@ -205,14 +205,23 @@ pub enum MessageBody {
         digest: u64,
     },
     /// A delta from the frame at `base_seq` to this message's sequence
-    /// number. Survivor attributes ride the survivor map on the receiver;
-    /// only the inserted points travel.
+    /// number, as the parts of a [`FrameDelta::from_parts`] call. Survivor
+    /// attributes ride the survivor map on the receiver; only the inserted
+    /// points travel. The map has one slot per base point, so the receiver
+    /// builds it only once `old_len` matches the base it holds: a wire
+    /// length alone never sizes an allocation.
     Delta {
         /// Sequence number of the frame this delta applies to.
         base_seq: u64,
-        /// The structural delta (removals, insertions, survivor map).
-        delta: FrameDelta,
-        /// Positions of the inserted points, in `delta.inserted()` order.
+        /// Point count of the base frame.
+        old_len: usize,
+        /// Point count of the reconstructed frame.
+        new_len: usize,
+        /// Removed base-frame indices, ascending.
+        removed: Vec<u32>,
+        /// New-frame indices of the inserted points, ascending.
+        inserted_ids: Vec<u32>,
+        /// Positions of the inserted points, in `inserted_ids` order.
         inserted: Vec<Point3>,
         /// Colors of the inserted points, when the stream carries colors.
         inserted_colors: Option<Vec<Color>>,
@@ -251,21 +260,24 @@ impl FrameMessage {
             }
             MessageBody::Delta {
                 base_seq,
-                delta,
+                old_len,
+                new_len,
+                removed,
+                inserted_ids,
                 inserted,
                 inserted_colors,
                 digest,
             } => {
                 out.push(KIND_DELTA);
                 put_u64(&mut out, *base_seq);
-                put_u32(&mut out, delta.old_len() as u32);
-                put_u32(&mut out, delta.new_len() as u32);
-                put_u32(&mut out, delta.removed().len() as u32);
-                put_u32(&mut out, delta.inserted().len() as u32);
-                for &i in delta.removed() {
+                put_u32(&mut out, *old_len as u32);
+                put_u32(&mut out, *new_len as u32);
+                put_u32(&mut out, removed.len() as u32);
+                put_u32(&mut out, inserted_ids.len() as u32);
+                for &i in removed {
                     put_u32(&mut out, i);
                 }
-                for &i in delta.inserted() {
+                for &i in inserted_ids {
                     put_u32(&mut out, i);
                 }
                 for &p in inserted {
@@ -341,11 +353,15 @@ impl FrameMessage {
                 }
                 let inserted_colors = read_colors(&mut r, inserted_len)?;
                 let digest = r.u64().ok_or(DecodeError::Malformed)?;
-                let delta = FrameDelta::from_parts(old_len, new_len, removed, inserted_ids)
-                    .ok_or(DecodeError::Malformed)?;
+                if !FrameDelta::parts_are_consistent(old_len, new_len, &removed, &inserted_ids) {
+                    return Err(DecodeError::Malformed);
+                }
                 MessageBody::Delta {
                     base_seq,
-                    delta,
+                    old_len,
+                    new_len,
+                    removed,
+                    inserted_ids,
                     inserted,
                     inserted_colors,
                     digest,
@@ -584,7 +600,10 @@ impl DeltaServer {
                 seq,
                 body: MessageBody::Delta {
                     base_seq,
-                    delta,
+                    old_len: delta.old_len(),
+                    new_len: delta.new_len(),
+                    removed: delta.removed().to_vec(),
+                    inserted_ids: delta.inserted().to_vec(),
                     inserted,
                     inserted_colors,
                     digest,
@@ -844,14 +863,27 @@ impl ResilientReceiver {
                         body:
                             MessageBody::Delta {
                                 base_seq: got_base,
-                                delta,
+                                old_len,
+                                new_len,
+                                removed,
+                                inserted_ids,
                                 inserted,
                                 inserted_colors,
                                 digest,
                             },
                         ..
                     }) if got_base == base_seq => {
-                        let Some(new_positions) = delta.apply(&self.positions, &inserted) else {
+                        // The survivor map is sized by `old_len`: build it
+                        // only for a delta that fits the base held here.
+                        let delta = if old_len == self.positions.len() {
+                            FrameDelta::from_parts(old_len, new_len, removed, inserted_ids)
+                        } else {
+                            None
+                        };
+                        let new_positions = delta
+                            .as_ref()
+                            .and_then(|d| d.apply(&self.positions, &inserted));
+                        let (Some(delta), Some(new_positions)) = (delta, new_positions) else {
                             // Structurally valid but inapplicable: our base
                             // diverged from the server's. Resync below.
                             self.stats.integrity_failures += 1;
@@ -1434,12 +1466,17 @@ mod tests {
         match msg.body {
             MessageBody::Delta {
                 base_seq,
-                delta,
+                old_len,
+                new_len,
+                removed,
+                inserted_ids,
                 inserted,
                 inserted_colors,
                 digest,
             } => {
                 assert_eq!(base_seq, 0);
+                let delta =
+                    FrameDelta::from_parts(old_len, new_len, removed, inserted_ids).unwrap();
                 let rebuilt = delta.apply(f[0].positions(), &inserted).unwrap();
                 assert_eq!(rebuilt, f[2].positions());
                 let colors = delta
@@ -1477,6 +1514,60 @@ mod tests {
             );
         }
         assert_eq!(FrameMessage::decode(&[1, 2, 3]), Err(DecodeError::TooShort));
+    }
+
+    /// A forged 50-byte delta: empty removal/insertion lists under
+    /// `old_len = new_len = u32::MAX` and a recomputed checksum. Building
+    /// its survivor map would take 16 GiB.
+    fn forged_delta(seq: u64, base_seq: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_u64(&mut out, seq);
+        out.push(KIND_DELTA);
+        put_u64(&mut out, base_seq);
+        put_u32(&mut out, u32::MAX);
+        put_u32(&mut out, u32::MAX);
+        put_u32(&mut out, 0);
+        put_u32(&mut out, 0);
+        out.push(0); // no colors
+        put_u64(&mut out, 0);
+        let checksum = fnv1a64(&out);
+        put_u64(&mut out, checksum);
+        out
+    }
+
+    /// A link that answers every delta request with [`forged_delta`] and
+    /// passes keyframes through unharmed.
+    struct ForgingLink;
+
+    impl Transport for ForgingLink {
+        fn transmit(&mut self, payload: &[u8], _start_s: f64) -> crate::faults::Transfer {
+            let msg = FrameMessage::decode(payload).expect("origin payloads decode");
+            let arrival = match msg.body {
+                MessageBody::Delta { base_seq, .. } => forged_delta(msg.seq, base_seq),
+                MessageBody::Keyframe { .. } => payload.to_vec(),
+            };
+            crate::faults::Transfer {
+                time_s: 0.0,
+                arrivals: vec![arrival],
+            }
+        }
+    }
+
+    #[test]
+    fn forged_delta_length_is_checked_against_the_held_base() {
+        assert_eq!(forged_delta(1, 0).len(), 50);
+        let f = frames(100, 2, 0.1, 9);
+        let server = DeltaServer::new(f.clone());
+        let mut receiver = ResilientReceiver::new(RetryPolicy::default(), 0);
+        let first = receiver.recover(&server, &mut ForgingLink, 0).unwrap();
+        receiver.commit(first, 0);
+        // The forged delta cannot apply to the 100-point base: it counts as
+        // an integrity failure and the ladder resyncs from a keyframe,
+        // without allocating for the forged length.
+        let frame = receiver.recover(&server, &mut ForgingLink, 1).unwrap();
+        assert_eq!(frame.kind, RecoveryKind::Keyframe);
+        assert_eq!(frame.positions, f[1].positions());
+        assert_eq!(receiver.stats().integrity_failures, 1);
     }
 
     #[test]

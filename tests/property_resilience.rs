@@ -5,7 +5,7 @@
 //! frame, and a wrong (cache-poisoning) delta declaration must always be
 //! detected before it can influence any output. The CI chaos job runs this
 //! file with a pinned seed set plus one rotating `CHAOS_SEED` (logged on
-//! failure); the feature matrix runs it under both scalar and SIMD kernels.
+//! failure).
 
 use proptest::prelude::*;
 use volut::core::refine::IdentityRefiner;
@@ -16,7 +16,7 @@ use volut::pointcloud::PointCloud;
 use volut::stream::client::SrSession;
 use volut::stream::faults::{FaultConfig, FaultyLink};
 use volut::stream::link::SimulatedLink;
-use volut::stream::resilience::{DeltaServer, ResilientSession, RetryPolicy};
+use volut::stream::resilience::{DeltaServer, FrameMessage, ResilientSession, RetryPolicy};
 use volut::stream::trace::NetworkTrace;
 
 /// Extra seed rotated by CI (`CHAOS_SEED=<run id>`); 0 when unset so local
@@ -41,6 +41,14 @@ fn churned_frames(n: usize, frames: usize, churn: f64, seed: u64) -> Vec<PointCl
             seed,
         },
     )
+}
+
+/// 64-bit FNV-1a, the wire checksum of [`FrameMessage`], recomputed here
+/// so fuzzed bodies get past the checksum and reach the parser.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01B3)
+    })
 }
 
 fn session(naive: bool) -> SrSession {
@@ -98,6 +106,36 @@ proptest! {
             stats.frames,
             "recovery bookkeeping must cover all frames: {:?}", stats
         );
+    }
+
+    #[test]
+    fn decode_never_panics_on_hostile_bytes(
+        n in 20usize..120,
+        cut_sel in 0usize..100_000,
+        bit_sel in 0usize..1_000_000,
+        kind in 0u8..3,
+        junk in prop::collection::vec(0u16..256, 0..96),
+        seed in 0u64..10_000,
+    ) {
+        let seed = seed ^ chaos_seed();
+        // A real delta message, truncated and bit-flipped: always an error.
+        let server = DeltaServer::new(churned_frames(n, 2, 0.2, seed));
+        let msg = server.delta_message(0, 1).expect("in range");
+        let cut = cut_sel % msg.len();
+        prop_assert!(FrameMessage::decode(&msg[..cut]).is_err(), "prefix {}", cut);
+        let mut flipped = msg.clone();
+        let bit = bit_sel % (8 * msg.len());
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        prop_assert!(FrameMessage::decode(&flipped).is_err(), "bit {}", bit);
+        // Arbitrary bytes behind a seq and kind tag, raw and with a valid
+        // checksum so the parser sees them: any result but a panic.
+        let mut body = seed.to_le_bytes().to_vec();
+        body.push(kind);
+        body.extend(junk.iter().map(|&b| b as u8));
+        let _ = FrameMessage::decode(&body);
+        let sum = fnv1a64(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
+        let _ = FrameMessage::decode(&body);
     }
 
     #[test]

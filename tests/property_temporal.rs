@@ -3,9 +3,8 @@
 //! any churn level, frame shape and interpolator config — including
 //! tie-heavy quantized clouds, duplicate points and clouds smaller than the
 //! neighborhood size — and the kd-tree patch must agree with a fresh build.
-//! The CI feature matrix runs this file under both the scalar and SIMD
-//! kernels (the `simd` feature is bit-transparent, so one suite covers
-//! both).
+//! The kernel unit tests hold every SIMD distance path to the scalar one,
+//! so these properties hold on any host CPU.
 
 use proptest::prelude::*;
 use volut::core::config::SrConfig;

@@ -5,8 +5,8 @@
 //! count — on a single-core machine the pool still runs real concurrent
 //! threads, so the parallel code paths (chunked interpolation,
 //! colorization, refinement, and the sharded dual-tree traversal) are
-//! genuinely exercised. The CI feature matrix runs this file under both the
-//! scalar and SIMD kernels and under `VOLUT_WORKERS` overrides.
+//! genuinely exercised. The CI worker matrix also runs this file under
+//! `VOLUT_WORKERS` overrides.
 //!
 //! Sizes straddle the dual-tree auto threshold (4096 queries), so cases
 //! cover both multi-worker routes of the engine's kNN driver: the
