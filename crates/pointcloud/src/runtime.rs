@@ -459,34 +459,17 @@ impl Pool {
     /// execution order/interleaving — in this codebase every caller writes
     /// disjoint output slots whose values depend only on the slot, which is
     /// the determinism contract the engine's bit-identity tests pin.
+    ///
+    /// The splitter keeps the near half and pushes the far half, so lower
+    /// indices tend to execute first (and, under work stealing, to be
+    /// stolen last). A scheduler that sorts its jobs longest-first gets an
+    /// LPT-style schedule from this bias — heavy items start early, light
+    /// ones backfill. The bias is best-effort, never a guarantee.
     pub fn run_range<F>(&self, len: usize, grain: usize, f: F)
     where
         F: Fn(Range<usize>) + Sync,
     {
         self.inner.run_range(len, grain, &f);
-    }
-
-    /// Runs `f` over disjoint sub-slices of `order`, splitting recursively
-    /// down to at most `grain` elements per call — [`Pool::run_range`] over
-    /// an explicit item permutation instead of `0..len`.
-    ///
-    /// This is the fairness/priority dispatch primitive for schedulers: the
-    /// splitter keeps the *near* half and pushes the far half, so earlier
-    /// positions in `order` are biased toward executing first (and, under
-    /// work-stealing, toward being stolen last). A caller that sorts
-    /// `order` longest-job-first therefore gets an LPT-style schedule —
-    /// heavy items start early, light items backfill — without any
-    /// per-item queue or priority heap. The bias is best-effort, never a
-    /// guarantee: `f` must still tolerate any partition and any execution
-    /// order, exactly as with `run_range`.
-    pub fn run_order<F>(&self, order: &[u32], grain: usize, f: F)
-    where
-        F: Fn(&[u32]) + Sync,
-    {
-        self.inner
-            .run_range(order.len(), grain, &|r: Range<usize>| {
-                f(&order[r]);
-            });
     }
 
     /// Installs this pool as the current pool of the calling thread for the
@@ -616,19 +599,6 @@ where
     match installed {
         Some(pool) => pool.run_range(len, grain, &f),
         None => global().run_range(len, grain, f),
-    }
-}
-
-/// Runs `f` over the items of `order` on the current pool (see
-/// [`Pool::run_order`] for the priority-bias contract).
-pub fn run_order<F>(order: &[u32], grain: usize, f: F)
-where
-    F: Fn(&[u32]) + Sync,
-{
-    let installed = CURRENT.with(|c| c.borrow().as_ref().map(|tp| Arc::clone(&tp.pool)));
-    match installed {
-        Some(pool) => pool.run_range(order.len(), grain, &|r: Range<usize>| f(&order[r])),
-        None => global().run_range(order.len(), grain, |r| f(&order[r])),
     }
 }
 
@@ -842,65 +812,15 @@ mod tests {
     }
 
     #[test]
-    fn run_order_visits_every_item_exactly_once() {
-        let pool = Pool::new(4);
-        // A permutation with gaps and duplicates-free reordering: reversed
-        // even indices followed by odd ones.
-        let order: Vec<u32> = (0..5_000u32)
-            .rev()
-            .filter(|i| i % 2 == 0)
-            .chain((0..5_000).filter(|i| i % 2 == 1))
-            .collect();
-        let hits: Vec<AtomicU32> = (0..5_000).map(|_| AtomicU32::new(0)).collect();
-        pool.run_order(&order, 64, |items| {
-            for &i in items {
-                hits[i as usize].fetch_add(1, SeqCst);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(SeqCst) == 1));
-    }
-
-    #[test]
-    fn run_order_chunks_are_contiguous_order_slices() {
-        // Every callback slice must be a contiguous window of `order` —
-        // that's what makes the near-half bias a priority bias over the
-        // caller's sort.
-        let pool = Pool::new(4);
-        let order: Vec<u32> = (0..1_000u32).map(|i| i.wrapping_mul(7) % 1_000).collect();
-        let ok = std::sync::atomic::AtomicBool::new(true);
-        pool.run_order(&order, 32, |items| {
-            assert!(!items.is_empty() && items.len() <= 32);
-            // Locate the slice inside `order` by pointer arithmetic.
-            let base = order.as_ptr() as usize;
-            let off = items.as_ptr() as usize - base;
-            if off % std::mem::size_of::<u32>() != 0 {
-                ok.store(false, SeqCst);
-            }
-        });
-        assert!(ok.load(SeqCst));
-    }
-
-    #[test]
-    fn run_order_free_fn_empty_and_single() {
-        super::run_order(&[], 16, |_| panic!("empty order never runs"));
-        let ran = AtomicU32::new(0);
-        super::run_order(&[7], 16, |items| {
-            assert_eq!(items, &[7]);
-            ran.fetch_add(1, SeqCst);
-        });
-        assert_eq!(ran.load(SeqCst), 1);
-    }
-
-    #[test]
-    fn run_order_front_bias_on_single_worker() {
+    fn run_range_front_bias_on_single_worker() {
         // With one executor the near-half-first split is fully
-        // deterministic: items must execute exactly in `order` order.
+        // deterministic: items execute in index order. The server's LPT
+        // dispatch (a longest-first sorted slice through
+        // `par::for_each_chunk_mut`, which splits with `run_range`) relies
+        // on this front bias.
         let pool = Pool::new(1);
-        let order: Vec<u32> = [9, 3, 7, 1, 8, 0, 2, 6, 4, 5].into();
         let seen = Mutex::new(Vec::new());
-        pool.run_order(&order, 2, |items| {
-            seen.lock().unwrap().extend_from_slice(items);
-        });
-        assert_eq!(seen.into_inner().unwrap(), order);
+        pool.run_range(10, 2, |r| seen.lock().unwrap().extend(r));
+        assert_eq!(seen.into_inner().unwrap(), (0..10).collect::<Vec<_>>());
     }
 }

@@ -576,16 +576,8 @@ mod tests {
     #[test]
     fn trace_driven_chain_tracks_outage_seconds() {
         // A trace that alternates long good stretches with short outages.
-        let mut samples = Vec::new();
-        for block in 0..20 {
-            for _ in 0..8 {
-                samples.push(60.0);
-            }
-            let _ = block;
-            for _ in 0..2 {
-                samples.push(5.0);
-            }
-        }
+        let block = [[60.0; 8].as_slice(), &[5.0; 2]].concat();
+        let samples = block.repeat(20);
         let trace = NetworkTrace::from_samples("bursty", samples, 0.01).unwrap();
         let ge = GilbertElliott::from_trace(&trace, 0.05);
         // Bad dwell ≈ 2 s → p_bad_to_good ≈ 0.5; good dwell ≈ 8 s.

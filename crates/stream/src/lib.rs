@@ -21,6 +21,7 @@
 //! assert!(result.data_bytes > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -58,6 +58,7 @@ use rand::{Rng, SeedableRng, StdRng};
 use serde::{Deserialize, Serialize};
 use volut_core::device::DeviceProfile;
 use volut_core::pipeline::SrResult;
+use volut_core::SrPipeline;
 use volut_pointcloud::cloud::geometry_digest;
 use volut_pointcloud::{Color, FrameDelta, Point3, PointCloud};
 
@@ -70,9 +71,11 @@ const KIND_KEYFRAME: u8 = 0;
 /// Message kind tag for a delta payload.
 const KIND_DELTA: u8 = 1;
 
-/// 64-bit FNV-1a over a byte slice — the payload checksum. Not
+/// FNV-1a-style hash over a byte slice — the payload checksum. Not
 /// cryptographic: the adversary here is the fault injector's random bit
-/// flips and truncations, not a forger.
+/// flips and truncations, not a forger. The multiplier is 2^44 + 0x1b3,
+/// not the FNV-64 prime 2^40 + 0x1b3 that the server's session digest
+/// uses; the checksum is part of the wire format, so it stays as is.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for &b in bytes {
@@ -1055,12 +1058,101 @@ impl ResilientReceiver {
     }
 }
 
+/// The pipeline a [`FrameStep`] runs one frame through.
+pub(crate) enum Engine<'a> {
+    /// The session's own pipeline ([`DegradationLevel::Full`]).
+    Own,
+    /// A cheaper pipeline sharing the session's scratch (the middle
+    /// degradation rungs).
+    Degraded(&'a SrPipeline),
+    /// No SR at all: the frame is served as received
+    /// ([`DegradationLevel::Passthrough`]).
+    Skip,
+}
+
+/// What [`FrameStep::run`] did with one frame.
+pub(crate) struct StepOutcome {
+    /// The upsampled frame; `None` when the engine skipped it.
+    pub(crate) result: Option<volut_core::Result<SrResult>>,
+    /// The engine rejected the declared delta (attempted cache poisoning).
+    /// The output is still correct — the engine fell back to its own
+    /// bitwise diff — and the caches were flushed, so the next frame
+    /// recomputes cold.
+    pub(crate) poisoned: bool,
+}
+
+/// The SR half of one delivered frame, shared by [`ResilientSession`] and
+/// the server's tenants so the cache-flush and poisoning invariants live in
+/// one place. Owns the [`SrSession`] and whether its cross-frame caches
+/// describe the previous delivered frame.
+#[derive(Debug)]
+pub(crate) struct FrameStep {
+    session: SrSession,
+    /// Whether the session's cached state is the previous delivered frame.
+    /// A declared delta reaches the engine only while this holds: after a
+    /// skipped frame (the engine never saw it), an engine error or a flush,
+    /// the engine's own diff relates the frames instead.
+    synced: bool,
+}
+
+impl FrameStep {
+    pub(crate) fn new(session: SrSession) -> Self {
+        Self {
+            session,
+            synced: false,
+        }
+    }
+
+    pub(crate) fn session(&self) -> &SrSession {
+        &self.session
+    }
+
+    /// Upsamples one delivered frame through `engine`. `delta` is the
+    /// change from the previous delivered frame; `None` (keyframe resync or
+    /// cold start) first flushes every cross-frame cache, so the output
+    /// depends only on this frame's bits — the invariant that makes
+    /// recovery bit-identical. The caller counts a poisoning and commits
+    /// the frame to its transport.
+    pub(crate) fn run(
+        &mut self,
+        frame: &PointCloud,
+        delta: Option<FrameDelta>,
+        ratio: f64,
+        engine: Engine<'_>,
+    ) -> StepOutcome {
+        if delta.is_none() {
+            self.session.flush_caches();
+            self.synced = false;
+        }
+        let declared = delta.filter(|_| self.synced);
+        let was_declared = declared.is_some();
+        let result = match engine {
+            Engine::Own => Some(match declared {
+                Some(d) => self.session.upsample_frame_delta(frame, ratio, d),
+                None => self.session.upsample_frame(frame, ratio),
+            }),
+            Engine::Degraded(pipeline) => Some(
+                self.session
+                    .upsample_frame_via(pipeline, frame, ratio, declared),
+            ),
+            Engine::Skip => None,
+        };
+        self.synced = matches!(result, Some(Ok(_)));
+        let poisoned = was_declared && self.session.last_delta_error().is_some();
+        if poisoned {
+            self.session.flush_caches();
+            self.synced = false;
+        }
+        StepOutcome { result, poisoned }
+    }
+}
+
 /// A fault-tolerant wrapper around [`SrSession`] implementing the recovery
 /// ladder of the module docs: a [`ResilientReceiver`] for the protocol
 /// state plus the SR engine that upsamples what it recovers.
 #[derive(Debug)]
 pub struct ResilientSession {
-    session: SrSession,
+    step: FrameStep,
     receiver: ResilientReceiver,
 }
 
@@ -1079,14 +1171,14 @@ impl ResilientSession {
     /// jitter seed.
     pub fn with_policy_seeded(session: SrSession, policy: RetryPolicy, seed: u64) -> Self {
         Self {
-            session,
+            step: FrameStep::new(session),
             receiver: ResilientReceiver::new(policy, seed),
         }
     }
 
     /// The wrapped SR session.
     pub fn session(&self) -> &SrSession {
-        &self.session
+        self.step.session()
     }
 
     /// Robustness counters so far.
@@ -1119,33 +1211,15 @@ impl ResilientSession {
         seq: u64,
         ratio: f64,
     ) -> Result<SrResult> {
-        let recovered = self.receiver.recover(server, link, seq)?;
-        let result = match recovered.delta.clone() {
-            Some(delta) => {
-                // Watch the engine's delta verification: a rejection means
-                // the cached state does not match the delta base (attempted
-                // cache poisoning or divergence) — it is counted and the
-                // caches are flushed so the *next* frame starts clean. The
-                // current output is still correct either way: the engine
-                // falls back to its own bitwise diff, never to the poisoned
-                // mapping.
-                let result = self
-                    .session
-                    .upsample_frame_delta(&recovered.cloud(), ratio, delta)?;
-                if self.session.last_delta_error().is_some() {
-                    self.receiver.note_poisoning();
-                    self.session.flush_caches();
-                }
-                result
-            }
-            None => {
-                // The cached state may describe a frame that was never
-                // really the predecessor: flush everything and recompute
-                // cold from this frame's bits alone.
-                self.session.flush_caches();
-                self.session.upsample_frame(&recovered.cloud(), ratio)?
-            }
-        };
+        let mut recovered = self.receiver.recover(server, link, seq)?;
+        let delta = recovered.delta.take();
+        let outcome = self.step.run(&recovered.cloud(), delta, ratio, Engine::Own);
+        if outcome.poisoned {
+            self.receiver.note_poisoning();
+        }
+        let result = outcome
+            .result
+            .expect("the session's own pipeline always runs")?;
         self.receiver.commit(recovered, seq);
         Ok(result)
     }
@@ -1712,6 +1786,67 @@ mod tests {
             .unwrap();
         assert_eq!(a.cloud, b.cloud);
         assert_eq!(resilient.stats().recovered_keyframe, 1);
+    }
+
+    /// Output of a fresh session on `frame`: the cold-recompute reference.
+    fn cold(frame: &PointCloud) -> PointCloud {
+        make_session().upsample_frame(frame, 2.0).unwrap().cloud
+    }
+
+    fn upsampled(outcome: StepOutcome) -> PointCloud {
+        outcome
+            .result
+            .expect("engine ran")
+            .expect("frame upsampled")
+            .cloud
+    }
+
+    #[test]
+    fn frame_step_flushes_after_a_poisoned_delta() {
+        let f = frames(600, 4, 0.1, 5);
+        let delta = |a: usize, b: usize| FrameDelta::diff(f[a].positions(), f[b].positions());
+        let mut step = FrameStep::new(make_session());
+        step.run(&f[0], None, 2.0, Engine::Own);
+        let clean = step.run(&f[1], Some(delta(0, 1)), 2.0, Engine::Own);
+        assert!(!clean.poisoned);
+        assert!(step.session().temporal_stats().rows_reused > 0);
+
+        // A stale declaration (0 → 1 again) for frame 2 is an attempted
+        // cache poisoning: reported, and the output is still correct.
+        let poisoned = step.run(&f[2], Some(delta(0, 1)), 2.0, Engine::Own);
+        assert!(poisoned.poisoned);
+        assert_eq!(upsampled(poisoned), cold(&f[2]));
+        let reused = step.session().temporal_stats().rows_reused;
+
+        // The flush leaves nothing to reuse: frame 3 recomputes every row,
+        // bit-identical to a fresh session.
+        let next = step.run(&f[3], Some(delta(2, 3)), 2.0, Engine::Own);
+        assert!(!next.poisoned);
+        assert_eq!(step.session().temporal_stats().rows_reused, reused);
+        assert_eq!(upsampled(next), cold(&f[3]));
+    }
+
+    #[test]
+    fn frame_step_declares_no_delta_after_a_skipped_or_failed_frame() {
+        let f = frames(600, 5, 0.1, 9);
+        let delta = |a: usize, b: usize| FrameDelta::diff(f[a].positions(), f[b].positions());
+        let mut step = FrameStep::new(make_session());
+        step.run(&f[0], None, 2.0, Engine::Own);
+
+        // The engine never sees a skipped frame, so its cache still holds
+        // frame 0: declaring 1 → 2 would be rejected as a poisoning.
+        let skipped = step.run(&f[1], Some(delta(0, 1)), 2.0, Engine::Skip);
+        assert!(skipped.result.is_none());
+        let after_skip = step.run(&f[2], Some(delta(1, 2)), 2.0, Engine::Own);
+        assert!(!after_skip.poisoned);
+        assert_eq!(upsampled(after_skip), cold(&f[2]));
+
+        // The same holds after an engine error (an invalid ratio).
+        let failed = step.run(&f[3], Some(delta(2, 3)), 0.5, Engine::Own);
+        assert!(failed.result.expect("engine ran").is_err());
+        let after_error = step.run(&f[4], Some(delta(3, 4)), 2.0, Engine::Own);
+        assert!(!after_error.poisoned);
+        assert_eq!(upsampled(after_error), cold(&f[4]));
     }
 
     #[test]

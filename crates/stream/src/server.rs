@@ -19,7 +19,7 @@
 //!   using the deterministic analytic [`SrComputeModel`] (wall-clock feeds
 //!   miss counters and telemetry only, keeping outputs bit-identical across
 //!   worker counts), then dispatches the frame jobs longest-predicted-first
-//!   onto the pool via `volut_pointcloud::runtime::run_order` so heavy
+//!   onto the pool via `volut_pointcloud::par::for_each_chunk_mut` so heavy
 //!   tenants cannot convoy behind thousands of light ones;
 //! * **telemetry is lock-cheap** — each tenant owns plain counters written
 //!   by exactly one worker during the parallel step; the coordinator rolls
@@ -51,14 +51,14 @@ use serde::Serialize;
 use volut_core::registry::{ContentModel, ModelRegistry};
 use volut_core::SrPipeline;
 use volut_pointcloud::synthetic::{self, DeltaStream, DeltaStreamConfig};
-use volut_pointcloud::{runtime, Color, Point3, PointCloud};
+use volut_pointcloud::{par, Color, Point3, PointCloud};
 
 use crate::client::{SrComputeModel, SrSession};
 use crate::faults::{FaultConfig, OwnedFaultyLink};
 use crate::qoe::{ChunkQoe, QoeAccumulator, QoeParams, QoeSummary};
 use crate::resilience::{
-    DegradationConfig, DegradationController, DegradationLevel, DeltaServer, ResilientReceiver,
-    RetentionPolicy, RetryPolicy, RobustnessStats,
+    DegradationConfig, DegradationController, DegradationLevel, DeltaServer, Engine, FrameStep,
+    ResilientReceiver, RetentionPolicy, RetryPolicy, RobustnessStats,
 };
 use crate::telemetry::{ServerTelemetry, SessionCounters, TelemetrySnapshot};
 use crate::trace::NetworkTrace;
@@ -287,7 +287,9 @@ struct ResilientIngest {
 struct Tenant {
     id: u64,
     spec: SessionSpec,
-    session: SrSession,
+    /// The SR session and its cache-sync state (the frame step shared with
+    /// [`crate::resilience::ResilientSession`]).
+    step: FrameStep,
     /// Refinement-free pipeline sharing the session's scratch for degraded
     /// frames (temporal caches are keyed per pipeline/ratio, so swapping is
     /// bit-safe — see [`SrSession::upsample_frame_via`]).
@@ -299,11 +301,6 @@ struct Tenant {
     /// Level planned for the current tick (written by the coordinator).
     planned: DegradationLevel,
     remaining: u64,
-    /// Whether the session's temporal cache chain matches the stream's
-    /// previous frame (false after Passthrough frames, which skip the
-    /// engine entirely); gates *declared* deltas only — the engine's own
-    /// diff fallback keeps undeclared frames correct regardless.
-    synced: bool,
     started: bool,
     counters: SessionCounters,
     qoe: QoeAccumulator,
@@ -332,6 +329,8 @@ struct Tenant {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
+/// Folds `value` into a session digest with standard 64-bit FNV-1a (the
+/// wire checksum, `resilience::fnv1a64`, uses a different multiplier).
 fn fnv1a(mut acc: u64, value: u64) -> u64 {
     for byte in value.to_le_bytes() {
         acc ^= u64::from(byte);
@@ -398,14 +397,13 @@ impl Tenant {
         Ok(Self {
             id,
             spec,
-            session,
+            step: FrameStep::new(session),
             degraded,
             stream,
             ingest,
             controller: config.degradation.map(DegradationController::new),
             planned: DegradationLevel::Full,
             remaining,
-            synced: false,
             started: false,
             counters: SessionCounters::default(),
             qoe: QoeAccumulator::new(),
@@ -450,16 +448,16 @@ impl Tenant {
         }
         let started = Instant::now();
         let level = self.planned;
+        let recovered_cloud;
         let (frame, delta, ingest_s, recovered) = match &mut self.ingest {
             None => {
-                let (frame, delta) = if self.started {
-                    let delta = self.stream.advance();
-                    (self.stream.frame().clone(), Some(delta))
+                let delta = if self.started {
+                    Some(self.stream.advance())
                 } else {
                     self.started = true;
-                    (self.stream.frame().clone(), None)
+                    None
                 };
-                (frame, delta, 0.0, None)
+                (self.stream.frame(), delta, 0.0, None)
             }
             Some(ingest) => {
                 if ingest.parked && !ingest.granted {
@@ -488,7 +486,7 @@ impl Tenant {
                     &mut ingest.link,
                     ingest.next_seq,
                 ) {
-                    Ok(rec) => {
+                    Ok(mut rec) => {
                         let resync = rec.delta.is_none() && ingest.receiver.last_seq().is_some();
                         if resync && !ingest.granted {
                             // A full keyframe resync costs a cold recompute;
@@ -507,7 +505,9 @@ impl Tenant {
                         }
                         ingest.transport_streak = 0;
                         let ingest_s = ingest.receiver.clock_s() - clock0;
-                        (rec.cloud(), rec.delta.clone(), ingest_s, Some(rec))
+                        recovered_cloud = rec.cloud();
+                        let delta = rec.delta.take();
+                        (&recovered_cloud, delta, ingest_s, Some(rec))
                     }
                     Err(_) => {
                         // Every rung and retry failed: stall the interval
@@ -525,60 +525,32 @@ impl Tenant {
                 }
             }
         };
-        // A keyframe resync (or cold start) recomputes cold: flush the
-        // cross-frame caches so the output depends only on this frame's
-        // own bits — the invariant that makes recovery bit-identical.
-        if recovered.is_some() && delta.is_none() {
-            self.session.flush_caches();
-            self.synced = false;
-        }
-        let declared = if self.synced { delta } else { None };
-        let declared_was_some = declared.is_some();
-        let ratio = level.effective_ratio(config.ratio);
-        let outcome = match level {
-            DegradationLevel::Passthrough => None,
-            DegradationLevel::Full => Some(match declared {
-                Some(d) => self.session.upsample_frame_delta(&frame, ratio, d),
-                None => self.session.upsample_frame(&frame, ratio),
-            }),
-            _ => Some(
-                self.session
-                    .upsample_frame_via(&self.degraded, &frame, ratio, declared),
-            ),
+        let engine = match level {
+            DegradationLevel::Full => Engine::Own,
+            DegradationLevel::Passthrough => Engine::Skip,
+            _ => Engine::Degraded(&self.degraded),
         };
-        let output_digest = match outcome {
-            None => {
-                // Passthrough: the received points are served untouched and
-                // the engine never sees the frame, so the session's cached
-                // previous frame goes stale.
-                self.synced = false;
-                frame.geometry_digest()
-            }
-            Some(Ok(result)) => {
-                self.synced = true;
-                result.cloud.geometry_digest()
-            }
+        let outcome = self
+            .step
+            .run(frame, delta, level.effective_ratio(config.ratio), engine);
+        let output_digest = match &outcome.result {
+            Some(Ok(result)) => result.cloud.geometry_digest(),
+            // Degenerate frame (e.g. churned below the neighborhood
+            // minimum): serve the input untouched, count it, keep going.
             Some(Err(_)) => {
-                // Degenerate frame (e.g. churned below the neighborhood
-                // minimum): serve the input untouched, count it, keep going.
                 self.frame_errors += 1;
-                self.synced = false;
                 frame.geometry_digest()
             }
+            // Passthrough: the received points are served untouched.
+            None => frame.geometry_digest(),
         };
         self.digest = fnv1a(self.digest, self.counters.frames);
         self.digest = fnv1a(self.digest, output_digest);
         self.digest = fnv1a(self.digest, frame.len() as u64);
 
         if let (Some(rec), Some(ingest)) = (recovered, &mut self.ingest) {
-            // The engine verifies every declared delta against its cached
-            // state; a rejection is an attempted cache poisoning — count it
-            // and flush so the next frame recomputes cold (the served frame
-            // itself is already correct via the engine's own diff fallback).
-            if declared_was_some && self.session.last_delta_error().is_some() {
+            if outcome.poisoned {
                 ingest.receiver.note_poisoning();
-                self.session.flush_caches();
-                self.synced = false;
             }
             ingest.receiver.commit(rec, ingest.next_seq);
             ingest.next_seq += 1;
@@ -604,13 +576,9 @@ impl Tenant {
         // Ingest recovery time (simulated link + backoff seconds —
         // deterministic) is charged against the frame deadline alongside
         // the measured compute, so degradation and QoE see real fault cost.
-        if elapsed + ingest_s > config.deadline_s {
-            self.counters.deadline_misses += 1;
-        }
-        if let Some(controller) = &mut self.controller {
-            controller.observe(elapsed + ingest_s, config.deadline_s);
-        }
-        let t = self.session.temporal_stats();
+        self.counters.last_deadline_miss = elapsed + ingest_s > config.deadline_s;
+        self.counters.deadline_misses += u64::from(self.counters.last_deadline_miss);
+        let t = self.step.session().temporal_stats();
         let frame_reused = t.rows_reused - self.prev_rows_reused;
         let frame_recomputed = t.rows_recomputed - self.prev_rows_recomputed;
         self.prev_rows_reused = t.rows_reused;
@@ -642,14 +610,14 @@ impl Tenant {
         let table = if config.share_registry {
             0 // counted once, registry-side
         } else {
-            self.session.pipeline().refiner_memory_bytes()
+            self.step.session().pipeline().refiner_memory_bytes()
         };
         let retained = self
             .ingest
             .as_ref()
             .map_or(0, |i| i.delta_server.retained_bytes() as usize);
         std::mem::size_of::<Self>()
-            + self.session.scratch().reserved_bytes()
+            + self.step.session().scratch().reserved_bytes()
             + cloud_bytes(self.stream.frame())
             + table
             + retained
@@ -667,7 +635,8 @@ pub struct SessionReport {
     pub seed: u64,
     /// Frames produced.
     pub frames: u64,
-    /// Frames whose measured compute exceeded the deadline.
+    /// Frames whose measured compute plus ingest time exceeded the
+    /// deadline.
     pub deadline_misses: u64,
     /// Frames that hit an engine error and were served passthrough.
     pub frame_errors: u64,
@@ -725,7 +694,6 @@ pub struct SrServer {
     telemetry: ServerTelemetry,
     finished: Vec<SessionReport>,
     next_id: u64,
-    order: Vec<u32>,
     /// Monotonic tick counter (grant-queue ordering key).
     ticks: u64,
     /// Current overload level (0 = no shedding).
@@ -734,24 +702,6 @@ pub struct SrServer {
     overload_pressured: u32,
     /// Consecutive calm ticks (relaxation streak).
     overload_calm: u32,
-}
-
-/// Moves a raw tenant-slice pointer into the parallel frame step. Safety
-/// rests on `run_order` visiting each index of a permutation exactly once,
-/// so no two workers ever hold `&mut` to the same tenant.
-#[derive(Clone, Copy)]
-struct TenantsPtr(*mut Tenant);
-unsafe impl Send for TenantsPtr {}
-unsafe impl Sync for TenantsPtr {}
-
-impl TenantsPtr {
-    /// # Safety
-    /// The caller must guarantee no other live reference to tenant `ix`
-    /// (here: `run_order` over a permutation visits each index once).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn tenant(&self, ix: u32) -> &mut Tenant {
-        &mut *self.0.add(ix as usize)
-    }
 }
 
 impl SrServer {
@@ -765,7 +715,6 @@ impl SrServer {
             telemetry: ServerTelemetry::new(),
             finished: Vec::new(),
             next_id: 0,
-            order: Vec::new(),
             ticks: 0,
             overload_level: 0,
             overload_pressured: 0,
@@ -879,7 +828,8 @@ impl SrServer {
         // the prediction so the LPT order sees fault-burdened tenants as
         // heavy. Overload pressure is measured on the *pre-floor* planned
         // levels, so the floor itself never feeds back into the signal.
-        let mut predicted: Vec<f64> = Vec::with_capacity(self.tenants.len());
+        let planned_active = self.tenants.len();
+        let mut jobs: Vec<(f64, &mut Tenant)> = Vec::with_capacity(planned_active);
         let mut below_full = 0usize;
         let floor = self.config.overload.as_ref().map(|_| {
             DegradationLevel::ALL
@@ -915,30 +865,20 @@ impl SrServer {
                 None => DegradationLevel::Full,
             };
             tenant.planned = level;
-            predicted.push(tenant.predict(level, &self.config) + tenant.last_ingest_s);
+            let predicted = tenant.predict(level, &self.config) + tenant.last_ingest_s;
+            jobs.push((predicted, tenant));
         }
-        let planned_active = self.tenants.len();
 
         // 3. LPT dispatch order: longest predicted frame first (ties by
         // admission id) so heavy sessions start while light ones backfill.
-        self.order.clear();
-        self.order.extend(0..self.tenants.len() as u32);
-        self.order.sort_by(|&a, &b| {
-            predicted[b as usize]
-                .total_cmp(&predicted[a as usize])
-                .then(a.cmp(&b))
-        });
+        jobs.sort_by(|(pa, a), (pb, b)| pb.total_cmp(pa).then(a.id.cmp(&b.id)));
 
-        // 4. Parallel frame step: one task per tenant, exclusive &mut via
-        // disjoint indices.
-        let base = TenantsPtr(self.tenants.as_mut_ptr());
+        // 4. Parallel frame step: one task per tenant. The pool's splitter
+        // runs the front of the slice first, which makes the sort an LPT
+        // schedule.
         let config = &self.config;
-        runtime::run_order(&self.order, 1, |items| {
-            for &ix in items {
-                // SAFETY: `order` is a permutation of 0..tenants.len(), and
-                // run_order partitions it into disjoint slices, so this
-                // index is visited by exactly one worker.
-                let tenant = unsafe { base.tenant(ix) };
+        par::for_each_chunk_mut(&mut jobs, 1, |_, _, chunk| {
+            for (_, tenant) in chunk {
                 tenant.step(config, tick);
             }
         });
@@ -948,10 +888,6 @@ impl SrServer {
         for tenant in &mut self.tenants {
             if tenant.stepped {
                 self.telemetry.record_frame(&tenant.counters);
-                self.telemetry.deadline_misses += u64::from(
-                    tenant.counters.last_frame_time_s + tenant.last_ingest_s
-                        > self.config.deadline_s,
-                );
                 tenant.stepped = false;
             }
             if let Some(ingest) = &tenant.ingest {

@@ -251,8 +251,11 @@ impl UnitHistogram {
 pub struct SessionCounters {
     /// Frames this session has produced.
     pub frames: u64,
-    /// Frames whose measured time exceeded the deadline.
+    /// Frames whose measured compute plus ingest time exceeded the
+    /// deadline.
     pub deadline_misses: u64,
+    /// Whether the most recent frame missed the deadline.
+    pub last_deadline_miss: bool,
     /// Wall-clock seconds of this session's most recent frame.
     pub last_frame_time_s: f64,
     /// kNN row reuse rate of the most recent frame, in `[0, 1]`.
@@ -316,6 +319,7 @@ impl ServerTelemetry {
         self.quality.record(counters.last_quality);
         self.reuse.record(counters.last_reuse_rate);
         self.frames_total += 1;
+        self.deadline_misses += u64::from(counters.last_deadline_miss);
     }
 
     /// Summary snapshot for reports and the scaling bench.
